@@ -56,6 +56,7 @@ import (
 	"seaice/internal/chaos"
 	"seaice/internal/dataset"
 	"seaice/internal/ddp"
+	"seaice/internal/durable"
 	"seaice/internal/labeler"
 	"seaice/internal/nn"
 	"seaice/internal/perfmodel"
@@ -350,41 +351,7 @@ func run[S tensor.Scalar](o options, master bool) {
 			log.Printf("resumed from %s at global step %d", entry, snap.Step)
 		}
 		res, err := tr.Fit(samples)
-		if errors.Is(err, ddp.ErrKilled) {
-			for _, ev := range o.chaos.Events() {
-				log.Printf("chaos: delivered %s", ev)
-			}
-			if o.snapshot != "" && o.elastic {
-				// Elastic runs stop snapshotting once the complement
-				// degrades, so a resume replays from the last
-				// full-complement snapshot with every rank healed — a
-				// different run than the degraded one that died.
-				log.Fatalf("run killed by injected fault after %d committed steps; rerun with -snapshot %s -resume (drop -chaos) to restart from the last full-complement snapshot — elastic steps after it are not replayed",
-					res.Steps, o.snapshot)
-			}
-			if o.snapshot != "" {
-				log.Fatalf("run killed by injected fault after %d committed steps; rerun with -snapshot %s -resume (drop -chaos, or the kill re-arms and fires again) to continue bit-identically",
-					res.Steps, o.snapshot)
-			}
-			log.Fatalf("run killed by injected fault after %d committed steps; no -snapshot was set, so the training state is lost (pass -snapshot PATH to make kills resumable)",
-				res.Steps)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if o.chaos != nil {
-			for _, ev := range o.chaos.Events() {
-				log.Printf("chaos: delivered %s", ev)
-			}
-			log.Printf("chaos: %d replicas healed, %d snapshot replays, %d stragglers absorbed, %d faults undelivered",
-				res.Recoveries, res.Replays, res.Stalls, o.chaos.Remaining())
-			if res.Anomalies > 0 {
-				log.Printf("guard: %d gradient anomalies detected, %d updates skipped", res.Anomalies, res.GuardSkips)
-			}
-			if len(res.LostRanks) > 0 {
-				log.Printf("chaos: finished elastically without ranks %v", res.LostRanks)
-			}
-		}
+		reportFit(o, res, err)
 		log.Printf("distributed training: %d workers, virtual DGX time %.2f s, real %.2f s",
 			o.workers, res.VirtualTotal, res.RealTotal)
 		model = tr.Replica(0)
@@ -546,50 +513,80 @@ func runNet[S tensor.Scalar](o options, modelCfg unet.Config, samples []train.Sa
 	}
 	log.Printf("rank %d/%d listening on %s, cluster %q", o.rank, o.workers, o.peers[o.rank], o.clusterID)
 	res, err := tr.Fit(samples)
+	reportFit(o, res, err)
+	log.Printf("network training: rank %d of %d, %d committed steps, virtual DGX time %.2f s, real %.2f s",
+		o.rank, o.workers, res.Steps, res.VirtualTotal, res.RealTotal)
+	return tr.Model()
+}
+
+// reportFit handles a ddp Fit's outcome in either mode: an injected kill
+// exits with the resume hint, any other error exits, and a chaos run
+// logs the delivered faults and what recovery absorbed.
+func reportFit(o options, res *ddp.Result, err error) {
+	netMode := len(o.peers) > 0
 	if errors.Is(err, ddp.ErrKilled) {
-		for _, ev := range o.chaos.Events() {
-			log.Printf("chaos: delivered %s", ev)
+		logDelivered(o.chaos)
+		who, hint := "run", "no -snapshot was set, so the training state is lost (pass -snapshot PATH to make kills resumable)"
+		switch {
+		case netMode && o.snapshot != "":
+			hint = fmt.Sprintf("rerun every rank with -snapshot %s -resume (drop the kill from -chaos) to continue bit-identically", o.snapshot)
+		case netMode:
+			hint = "no -snapshot was set, so the training state is lost"
+		case o.snapshot != "" && o.elastic:
+			// Elastic runs stop snapshotting once the complement
+			// degrades, so a resume replays from the last
+			// full-complement snapshot with every rank healed — a
+			// different run than the degraded one that died.
+			hint = fmt.Sprintf("rerun with -snapshot %s -resume (drop -chaos) to restart from the last full-complement snapshot — elastic steps after it are not replayed", o.snapshot)
+		case o.snapshot != "":
+			hint = fmt.Sprintf("rerun with -snapshot %s -resume (drop -chaos, or the kill re-arms and fires again) to continue bit-identically", o.snapshot)
 		}
-		if o.snapshot != "" {
-			log.Fatalf("rank %d killed by injected fault after %d committed steps; rerun every rank with -snapshot %s -resume (drop the kill from -chaos) to continue bit-identically",
-				o.rank, res.Steps, o.snapshot)
+		if netMode {
+			who = fmt.Sprintf("rank %d", o.rank)
 		}
-		log.Fatalf("rank %d killed by injected fault after %d committed steps; no -snapshot was set, so the training state is lost",
-			o.rank, res.Steps)
+		log.Fatalf("%s killed by injected fault after %d committed steps; %s", who, res.Steps, hint)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	if o.chaos != nil {
-		for _, ev := range o.chaos.Events() {
-			log.Printf("chaos: delivered %s", ev)
-		}
+	if o.chaos == nil {
+		return
+	}
+	logDelivered(o.chaos)
+	if netMode {
 		log.Printf("chaos: %d network recoveries, %d stragglers absorbed, %d faults undelivered",
 			res.Recoveries, res.Stalls, o.chaos.Remaining())
-		if res.Anomalies > 0 {
-			log.Printf("guard: rank %d saw %d gradient anomalies, %d updates skipped", o.rank, res.Anomalies, res.GuardSkips)
-		}
+	} else {
+		log.Printf("chaos: %d replicas healed, %d snapshot replays, %d stragglers absorbed, %d faults undelivered",
+			res.Recoveries, res.Replays, res.Stalls, o.chaos.Remaining())
 	}
-	log.Printf("network training: rank %d of %d, %d committed steps, virtual DGX time %.2f s, real %.2f s",
-		o.rank, o.workers, res.Steps, res.VirtualTotal, res.RealTotal)
-	return tr.Model()
+	if res.Anomalies > 0 && netMode {
+		log.Printf("guard: rank %d saw %d gradient anomalies, %d updates skipped", o.rank, res.Anomalies, res.GuardSkips)
+	} else if res.Anomalies > 0 {
+		log.Printf("guard: %d gradient anomalies detected, %d updates skipped", res.Anomalies, res.GuardSkips)
+	}
+	if len(res.LostRanks) > 0 {
+		log.Printf("chaos: finished elastically without ranks %v", res.LostRanks)
+	}
+}
+
+// logDelivered logs every fault the injector delivered.
+func logDelivered(inj *chaos.Injector) {
+	for _, ev := range inj.Events() {
+		log.Printf("chaos: delivered %s", ev)
+	}
 }
 
 // verifySnapshot is the -verify-snapshot scrub mode: it checks every
 // rotation entry of a snapshot file for on-disk integrity — header,
 // length, CRC32C trailer, decodability, and numeric sanity of the
 // decoded state — printing a per-section report and exiting non-zero if
-// the newest entry (the one -resume would prefer) does not verify.
+// the newest entry (the one -resume would prefer) does not verify. keep
+// is the rotation depth main resolved.
 func verifySnapshot(path string, keep int) {
-	if keep <= 0 {
-		keep = ddp.DefaultSnapshotKeep
-	}
 	bad := false
 	for i := 0; i < keep; i++ {
-		entry := path
-		if i > 0 {
-			entry = fmt.Sprintf("%s.%d", path, i)
-		}
+		entry := durable.Entry(path, i)
 		snap, err := ddp.LoadSnapshotFile(entry)
 		if err != nil {
 			switch {

@@ -40,11 +40,10 @@
 // is a pure function of the snapshot state and the seeded batch
 // schedule.
 //
-// Because this host has a single core, the *wall-clock* speedup of real
-// goroutines is ~1×; Table III's timing is therefore reported through the
-// calibrated perfmodel.Horovod virtual clock, while the gradient math is
-// real and the equivalence theorem "K-worker DDP step == single-model
-// step on the merged batch" is verified in the tests.
+// Table III's timing is reported through the calibrated
+// perfmodel.Horovod virtual clock (Config.Timing), while the gradient
+// math is real and the equivalence theorem "K-worker DDP step ==
+// single-model step on the merged batch" is verified in the tests.
 //
 // The trainer consumes materialized sample sets (each rank needs random
 // access to its shard of every global batch); streaming callers
@@ -185,30 +184,15 @@ type Result struct {
 // of the replicas and the reduced gradient vectors (float32 halves the
 // bytes every ring hop moves).
 type Trainer[S tensor.Scalar] struct {
-	cfg      Config
-	modelCfg unet.Config
+	core[S]
 	replicas []*unet.Model[S]
 	opts     []*nn.Adam[S]
-	// flat holds one contiguous gradient vector per replica, reused
-	// across steps: packing every parameter into one buffer lets the
-	// all-reduce run as a single chunked, pipelined operation instead of
-	// one serial ring per parameter.
+	// flat holds one packed gradient vector per replica, reused across
+	// steps.
 	flat [][]S
 
 	// group tracks live ring membership across failures.
 	group *ring.Group
-	// snap is the latest in-memory snapshot; startStep is the batch
-	// cursor a restored trainer resumes from; restored marks that snap
-	// came from Restore, so Fit must verify it against the sample set.
-	snap      *Snapshot
-	startStep int
-	restored  bool
-	// batcher/nb/dataFP are installed by Fit; shardsFor uses the batcher
-	// to replay any step's deterministic shard assignment, and dataFP
-	// guards resume against a different sample set.
-	batcher *train.Batcher
-	nb      int
-	dataFP  string
 	// guardSkipped marks global steps whose update the numeric guard
 	// dropped (skip policy): a snapshot replay must re-run their compute
 	// (to advance the RNG streams) without re-applying the update.
@@ -218,27 +202,17 @@ type Trainer[S tensor.Scalar] struct {
 // New builds a trainer whose rank-0 replica is initialized from the model
 // configuration; ranks 1..N-1 receive rank 0's weights by broadcast.
 func New[S tensor.Scalar](modelCfg unet.Config, cfg Config) (*Trainer[S], error) {
-	if cfg.Workers <= 0 {
-		return nil, fmt.Errorf("ddp: workers %d", cfg.Workers)
+	c, err := newCore[S](modelCfg, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.BatchPerWorker <= 0 || cfg.Epochs <= 0 {
-		return nil, fmt.Errorf("ddp: invalid batch %d or epochs %d", cfg.BatchPerWorker, cfg.Epochs)
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if cfg.SnapshotKeep <= 0 {
-		cfg.SnapshotKeep = DefaultSnapshotKeep
-	}
-	t := &Trainer[S]{cfg: cfg, modelCfg: modelCfg}
+	t := &Trainer[S]{core: c}
 	for r := 0; r < cfg.Workers; r++ {
-		m, err := newReplica[S](modelCfg, r, cfg.Focal)
+		m, opt, err := t.newRank(r)
 		if err != nil {
 			return nil, err
 		}
 		t.replicas = append(t.replicas, m)
-		opt := nn.NewAdam[S](cfg.LR)
-		opt.Master = cfg.MasterWeights
 		t.opts = append(t.opts, opt)
 	}
 	for r := 1; r < cfg.Workers; r++ {
@@ -246,28 +220,10 @@ func New[S tensor.Scalar](modelCfg unet.Config, cfg Config) (*Trainer[S], error)
 			return nil, err
 		}
 	}
-	var err error
 	if t.group, err = ring.NewGroup(cfg.Workers); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// newReplica builds rank r's model with its distinct dropout stream;
-// weights are overwritten by broadcast or recovery.
-func newReplica[S tensor.Scalar](modelCfg unet.Config, r int, focal *nn.FocalParams) (*unet.Model[S], error) {
-	mc := modelCfg
-	// Distinct dropout streams per rank; weights are broadcast from
-	// rank 0, so only regularization noise differs.
-	mc.Seed = modelCfg.Seed + uint64(r)*0x9e37
-	m, err := unet.New[S](mc)
-	if err != nil {
-		return nil, err
-	}
-	if focal != nil {
-		m.SetCriterion(nn.NewFocal[S](*focal))
-	}
-	return m, nil
 }
 
 // Replica exposes a rank's model (rank 0 is the canonical result).
@@ -317,47 +273,22 @@ func dataFingerprint(samples []train.Sample) string {
 // per rank.
 func (t *Trainer[S]) Snapshot(step int) *Snapshot {
 	src := 0
-	for r := range t.replicas {
-		if t.group.IsLive(r) {
-			src = r
-			break
-		}
+	if live := t.group.Live(); len(live) > 0 {
+		src = live[0]
 	}
-	s := &Snapshot{
-		Precision: precisionName[S](),
-		Key:       t.snapshotKey(),
-		Data:      t.dataFP,
-		Step:      step,
-		Weights:   t.replicas[src].WeightsF64(),
-		Opt:       t.opts[src].State(),
-		RNG:       make([]noise.RNGState, len(t.replicas)),
-	}
+	rng := make([]noise.RNGState, len(t.replicas))
 	for r, m := range t.replicas {
-		s.RNG[r] = m.RNGState()
+		rng[r] = m.RNGState()
 	}
-	return s
-}
-
-// precisionName reports the instantiation's precision tag.
-func precisionName[S tensor.Scalar]() string {
-	if tensor.IsF32[S]() {
-		return "float32"
-	}
-	return "float64"
+	return t.snapshot(step, t.snapshotKey(), t.replicas[src], t.opts[src], rng)
 }
 
 // Restore loads a snapshot into the trainer: every rank gets the
 // snapshot weights and optimizer state, its own RNG position, and full
 // ring membership. Fit then resumes from the snapshot's batch cursor.
 func (t *Trainer[S]) Restore(s *Snapshot) error {
-	if s.Key != t.snapshotKey() {
-		return fmt.Errorf("%w: key %q vs trainer %q", ErrSnapshotMismatch, s.Key, t.snapshotKey())
-	}
-	if s.Precision != precisionName[S]() {
-		return fmt.Errorf("%w: snapshot precision %s, trainer %s", ErrSnapshotMismatch, s.Precision, precisionName[S]())
-	}
-	if len(s.RNG) != len(t.replicas) {
-		return fmt.Errorf("%w: %d RNG states for %d ranks", ErrSnapshotMismatch, len(s.RNG), len(t.replicas))
+	if err := t.accept(s, t.snapshotKey(), len(t.replicas)); err != nil {
+		return err
 	}
 	for r, m := range t.replicas {
 		if err := m.SetWeightsF64(s.Weights); err != nil {
@@ -367,9 +298,6 @@ func (t *Trainer[S]) Restore(s *Snapshot) error {
 		t.opts[r].SetState(s.Opt) // SetState deep-copies, so ranks do not share buffers
 		t.group.Heal(r)
 	}
-	t.snap = s
-	t.startStep = s.Step
-	t.restored = true
 	return nil
 }
 
@@ -395,18 +323,7 @@ func (t *Trainer[S]) computeGrads(ranks []int, shards [][]train.Sample, step int
 				stalled[rank] = true
 				time.Sleep(d)
 			}
-			m := t.replicas[rank]
-			nn.ZeroGrads(m.Params())
-			if len(shards[rank]) == 0 {
-				return // rank idles this step; contributes zero grads
-			}
-			x, labels, err := train.ToTensor[S](shards[rank])
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			losses[rank], errs[rank] = m.LossAndGrad(x, labels)
-			counted[rank] = true
+			losses[rank], counted[rank], errs[rank] = gradStep(t.replicas[rank], shards[rank])
 		}(r)
 	}
 	wg.Wait()
@@ -440,22 +357,11 @@ func (t *Trainer[S]) computeGrads(ranks []int, shards [][]train.Sample, step int
 // never matches a fault.
 func (t *Trainer[S]) reduceGrads(ranks []int, step int) error {
 	p := len(t.replicas)
-	flatLen := 0
-	for _, prm := range t.replicas[0].Params() {
-		flatLen += prm.Grad.Len()
-	}
 	if t.flat == nil {
 		t.flat = make([][]S, p)
 	}
 	for _, r := range ranks {
-		if cap(t.flat[r]) < flatLen {
-			t.flat[r] = make([]S, flatLen)
-		}
-		t.flat[r] = t.flat[r][:flatLen]
-		off := 0
-		for _, prm := range t.replicas[r].Params() {
-			off += copy(t.flat[r][off:], prm.Grad.Data)
-		}
+		t.flat[r] = pack(t.flat[r], t.replicas[r].Params(), grads)
 		if step >= 0 && t.cfg.Chaos.NaNStep(r, step) {
 			t.flat[r][0] = S(math.NaN())
 		}
@@ -464,17 +370,14 @@ func (t *Trainer[S]) reduceGrads(ranks []int, step int) error {
 	// collective sees a full-length slice set.
 	for r := 0; r < p; r++ {
 		if t.flat[r] == nil {
-			t.flat[r] = make([]S, flatLen)
+			t.flat[r] = make([]S, len(t.flat[ranks[0]]))
 		}
 	}
 	if err := ring.AllReduceMeanChunkedGroup(t.group, t.flat, ring.DefaultChunk); err != nil {
 		return err
 	}
 	for _, r := range ranks {
-		off := 0
-		for _, prm := range t.replicas[r].Params() {
-			off += copy(prm.Grad.Data, t.flat[r][off:off+prm.Grad.Len()])
-		}
+		unpack(t.flat[r], t.replicas[r].Params(), grads)
 	}
 	return nil
 }
@@ -498,14 +401,10 @@ func (t *Trainer[S]) applyAdam(ranks []int) {
 // ranks. Step is the fault-free fast path (and the replay primitive);
 // Fit's chaos-aware loop wraps it with detection and recovery.
 func (t *Trainer[S]) Step(shards [][]train.Sample) (float64, error) {
-	p := len(t.replicas)
-	if len(shards) != p {
-		return 0, fmt.Errorf("ddp: %d shards for %d workers", len(shards), p)
+	if len(shards) != len(t.replicas) {
+		return 0, fmt.Errorf("ddp: %d shards for %d workers", len(shards), len(t.replicas))
 	}
-	all := make([]int, p)
-	for r := range all {
-		all[r] = r
-	}
+	all := t.allRanks()
 	loss, _, err := t.computeGrads(all, shards, -1)
 	if err != nil {
 		return 0, err
@@ -548,11 +447,7 @@ func (t *Trainer[S]) heal(step int, rngAtStart []noise.RNGState, res *Result) (b
 				// The guard dropped this step's update: re-run the compute
 				// so every rank's RNG stream advances exactly as it did,
 				// but apply nothing.
-				all := make([]int, len(t.replicas))
-				for r := range all {
-					all[r] = r
-				}
-				if _, _, err := t.computeGrads(all, t.shardsFor(h), -1); err != nil {
+				if _, _, err := t.computeGrads(t.allRanks(), t.shardsFor(h), -1); err != nil {
 					return false, fmt.Errorf("ddp: replay skipped step %d: %w", h, err)
 				}
 				continue
@@ -568,7 +463,7 @@ func (t *Trainer[S]) heal(step int, rngAtStart []noise.RNGState, res *Result) (b
 		// A fresh replica stands in for the replacement worker; it
 		// inherits the survivor's synchronized state and resumes its own
 		// rank's RNG stream where the dead worker left it.
-		m, err := newReplica[S](t.modelCfg, r, t.cfg.Focal)
+		m, opt, err := t.newRank(r)
 		if err != nil {
 			return false, err
 		}
@@ -576,20 +471,21 @@ func (t *Trainer[S]) heal(step int, rngAtStart []noise.RNGState, res *Result) (b
 			return false, err
 		}
 		m.SetRNGState(rngAtStart[r])
-		t.replicas[r] = m
-		t.opts[r].SetState(t.opts[src].State())
+		opt.SetState(t.opts[src].State())
+		t.replicas[r], t.opts[r] = m, opt
 		t.group.Heal(r)
 		res.Recoveries++
 	}
 	return false, nil
 }
 
-// shardsFor reconstructs the deterministic shard assignment of global
-// step g — the replay primitive. Requires Fit to have installed the
-// batcher.
-func (t *Trainer[S]) shardsFor(g int) [][]train.Sample {
-	batch := t.batcher.Epoch(g / t.nb)[g%t.nb]
-	return shard(batch, t.cfg.Workers)
+// allRanks lists every rank, dead or alive.
+func (t *Trainer[S]) allRanks() []int {
+	all := make([]int, len(t.replicas))
+	for r := range all {
+		all[r] = r
+	}
+	return all
 }
 
 // Fit trains for the configured epochs over the dataset, sharding each
@@ -600,60 +496,16 @@ func (t *Trainer[S]) shardsFor(g int) [][]train.Sample {
 // LoadSnapshotFile). A trainer restored from a snapshot resumes at its
 // batch cursor.
 func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
-	globalBatch := t.cfg.Workers * t.cfg.BatchPerWorker
-	batcher, err := train.NewBatcher(samples, globalBatch, t.cfg.Seed)
+	totalSteps, err := t.begin(samples)
 	if err != nil {
 		return nil, err
 	}
-	t.batcher = batcher
-	t.nb = batcher.NumBatches()
-	totalSteps := t.cfg.Epochs * t.nb
-	// The data fingerprint exists for snapshots and resume checks; a
-	// plain fault-free run skips the full-dataset hash.
-	if t.cfg.Chaos != nil || t.cfg.SnapshotPath != "" || t.restored {
-		t.dataFP = dataFingerprint(samples)
-	}
-	if t.restored && t.snap != nil && t.snap.Data != "" && t.snap.Data != t.dataFP {
-		// A cursor into a different sample set would silently train the
-		// wrong batches; bit-identical resume is only defined on the
-		// data the snapshot was taken over. Checked even at cursor 0 —
-		// restoring a snapshot is a claim about the data it came from.
-		return nil, fmt.Errorf("%w: snapshot was taken over a different sample set", ErrSnapshotMismatch)
-	}
-
-	res := &Result{}
-	var (
-		epochBatches   [][]train.Sample
-		epochLoaded    = -1
-		epochLoss      float64
-		epochSteps     int
-		epochStart     = time.Now()
-		samplesTrained int // samples in committed steps (resume-aware)
-	)
+	res := t.res
 	for g := t.startStep; g < totalSteps; g++ {
-		epoch, bi := g/t.nb, g%t.nb
-		if epoch != epochLoaded {
-			epochBatches = batcher.Epoch(epoch)
-			epochLoaded = epoch
-			epochLoss, epochSteps = 0, 0
-			epochStart = time.Now()
-		}
-
 		// ---- step boundary: snapshot, then faults fire ----
-		// Snapshots exist for recovery (chaos) and restart (SnapshotPath);
-		// a plain fault-free run skips the deep copies entirely.
-		wantSnaps := t.cfg.Chaos != nil || t.cfg.SnapshotPath != ""
-		if wantSnaps && (g == t.startStep || g%t.cfg.SnapshotEvery == 0) && t.group.LiveCount() == len(t.replicas) {
-			t.snap = t.Snapshot(g)
-			if t.cfg.SnapshotPath != "" {
-				// An injected torn-write fault truncates this snapshot
-				// mid-body; the rotation keeps the previous generation, and
-				// resume (LoadSnapshotFallback) detects the tear and falls
-				// back to it.
-				torn := t.cfg.Chaos.TornWrite(g)
-				if err := saveSnapshotFile(t.cfg.SnapshotPath, t.snap, t.cfg.SnapshotKeep, torn); err != nil {
-					return res, err
-				}
+		if t.snapshotDue(g) && t.group.LiveCount() == len(t.replicas) {
+			if err := t.keepSnapshot(t.Snapshot(g)); err != nil {
+				return res, err
 			}
 		}
 		if t.cfg.Chaos.ProcessKill(g) {
@@ -663,44 +515,14 @@ func (t *Trainer[S]) Fit(samples []train.Sample) (*Result, error) {
 			return res, ErrKilled
 		}
 
-		loss, err := t.chaosStep(g, epochBatches[bi], res)
+		batch := t.batch(g)
+		loss, err := t.chaosStep(g, batch, res)
 		if err != nil {
 			return res, err
 		}
-		res.Steps++
-		epochLoss += loss
-		epochSteps++
-		samplesTrained += len(epochBatches[bi])
-
-		if bi == t.nb-1 {
-			stat := EpochStat{
-				Loss:        epochLoss / float64(epochSteps),
-				RealSeconds: time.Since(epochStart).Seconds(),
-			}
-			if t.cfg.Timing.Compute > 0 {
-				// A resume entering mid-epoch executed only epochSteps of
-				// the epoch's nb steps; scale the modeled epoch time so
-				// virtual totals cover the work actually done.
-				stat.VirtualSeconds = t.cfg.Timing.EpochTime(t.group.LiveCount()) *
-					float64(epochSteps) / float64(t.nb)
-			}
-			res.Epochs = append(res.Epochs, stat)
-			res.RealTotal += stat.RealSeconds
-			res.VirtualTotal += stat.VirtualSeconds
-			if t.cfg.Progress != nil {
-				t.cfg.Progress(epoch, stat.Loss)
-			}
-		}
+		t.commit(g, loss, len(batch), t.group.LiveCount())
 	}
-	res.LostRanks = t.group.Dead()
-	if res.VirtualTotal > 0 {
-		// Samples this Fit actually trained — for an unresumed run this
-		// is len(samples)×Epochs; a resumed run counts only its own
-		// committed steps, so throughput is never inflated by the
-		// already-snapshotted portion.
-		res.Throughput = float64(samplesTrained) / res.VirtualTotal
-	}
-	return res, nil
+	return t.finish(t.group.Dead()), nil
 }
 
 // chaosStep executes global step g with failure detection and recovery.

@@ -17,10 +17,10 @@ import (
 // NetTrainer is the multi-process counterpart of Trainer: one process
 // owns exactly one rank's replica and exchanges gradients through a
 // ring.Collective — ring.Local for in-process tests, transport's TCP
-// ring for a real cluster. The math is the in-process trainer's,
-// verbatim: the same per-rank replica construction (seed offsets, rank-0
-// weight broadcast), the same deterministic shard assignment, the same
-// chunked all-reduce schedule, and the same Adam update, so rank r of a
+// ring for a real cluster. The math is the in-process trainer's: both
+// run the same rank helpers (rank.go) — per-rank replica construction
+// (seed offsets, rank-0 weight broadcast), deterministic shard
+// assignment, chunked all-reduce schedule, and Adam update — so rank r of a
 // NetTrainer run finishes with weights byte-identical to replica r of a
 // single-process Workers-way run on the same data (asserted by the
 // parity tests and the CI cluster-smoke job, for float64 and
@@ -42,37 +42,16 @@ import (
 // global loss aggregation would cost an extra collective per step for a
 // statistic the weights already embody.
 type NetTrainer[S tensor.Scalar] struct {
-	cfg      Config
-	modelCfg unet.Config
-	rank     int
-	world    int
-	coll     ring.Collective[S]
-	model    *unet.Model[S]
-	opt      *nn.Adam[S]
-
-	flat []S
-
-	snap      *Snapshot
-	startStep int
-	restored  bool
-	batcher   *train.Batcher
-	nb        int
-	dataFP    string
+	core[S]
+	rank  int
+	coll  ring.Collective[S]
+	model *unet.Model[S]
+	opt   *nn.Adam[S]
+	flat  []S
 	// guardRetried is the step already rolled back and retried for a
 	// numeric anomaly (-1: none); a second trip at the same step is
 	// deterministic and falls to the guard policy.
 	guardRetried int
-	// lastSnapStep dedupes snapshot persistence across step retries, so
-	// a rolled-back attempt cannot churn the rotation generations.
-	lastSnapStep int
-}
-
-// netBoundary is the rank-local rollback state at a step boundary.
-type netBoundary struct {
-	step    int
-	weights map[string][]float64
-	opt     nn.AdamState
-	rng     noise.RNGState
 }
 
 // NewNet builds one rank of a distributed run. cfg.Workers must equal
@@ -85,35 +64,18 @@ func NewNet[S tensor.Scalar](modelCfg unet.Config, cfg Config, coll ring.Collect
 	if cfg.Workers != coll.World() {
 		return nil, fmt.Errorf("ddp: %d workers for world of %d", cfg.Workers, coll.World())
 	}
-	if cfg.BatchPerWorker <= 0 || cfg.Epochs <= 0 {
-		return nil, fmt.Errorf("ddp: invalid batch %d or epochs %d", cfg.BatchPerWorker, cfg.Epochs)
+	c, err := newCore[S](modelCfg, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Elastic {
 		return nil, fmt.Errorf("ddp: elastic mode is in-process only (network recovery retries with the full complement)")
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if cfg.SnapshotKeep <= 0 {
-		cfg.SnapshotKeep = DefaultSnapshotKeep
-	}
-	m, err := newReplica[S](modelCfg, coll.Rank(), cfg.Focal)
-	if err != nil {
+	t := &NetTrainer[S]{core: c, rank: coll.Rank(), coll: coll, guardRetried: -1}
+	if t.model, t.opt, err = t.newRank(t.rank); err != nil {
 		return nil, err
 	}
-	opt := nn.NewAdam[S](cfg.LR)
-	opt.Master = cfg.MasterWeights
-	return &NetTrainer[S]{
-		cfg:          cfg,
-		modelCfg:     modelCfg,
-		rank:         coll.Rank(),
-		world:        coll.World(),
-		coll:         coll,
-		model:        m,
-		opt:          opt,
-		guardRetried: -1,
-		lastSnapStep: -1,
-	}, nil
+	return t, nil
 }
 
 // Model exposes this rank's replica (every rank's weights are
@@ -124,7 +86,7 @@ func (t *NetTrainer[S]) Model() *unet.Model[S] { return t.model }
 // snapshot restores only into the same rank of the same run shape.
 func (t *NetTrainer[S]) netKey() string {
 	return fmt.Sprintf("net rank %d/%d|model %+v|batch %d|epochs %d|lr %g|seed %d|master %t",
-		t.rank, t.world, t.modelCfg, t.cfg.BatchPerWorker, t.cfg.Epochs, t.cfg.LR, t.cfg.Seed,
+		t.rank, t.cfg.Workers, t.modelCfg, t.cfg.BatchPerWorker, t.cfg.Epochs, t.cfg.LR, t.cfg.Seed,
 		t.cfg.MasterWeights)
 }
 
@@ -133,58 +95,27 @@ func (t *NetTrainer[S]) netKey() string {
 // globally (all ranks are bit-synchronized, so each rank's weights and
 // optimizer state equal every other's; only the RNG position is its own).
 func (t *NetTrainer[S]) Snapshot(step int) *Snapshot {
-	return &Snapshot{
-		Precision: precisionName[S](),
-		Key:       t.netKey(),
-		Data:      t.dataFP,
-		Step:      step,
-		Weights:   t.model.WeightsF64(),
-		Opt:       t.opt.State(),
-		RNG:       []noise.RNGState{t.model.RNGState()},
-	}
+	return t.snapshot(step, t.netKey(), t.model, t.opt, []noise.RNGState{t.model.RNGState()})
 }
 
 // Restore loads a rank-local snapshot; Fit then resumes from its step
 // without re-broadcasting weights (every rank restored the same
 // bit-synchronized state).
 func (t *NetTrainer[S]) Restore(s *Snapshot) error {
-	if s.Key != t.netKey() {
-		return fmt.Errorf("%w: key %q vs trainer %q", ErrSnapshotMismatch, s.Key, t.netKey())
+	if err := t.accept(s, t.netKey(), 1); err != nil {
+		return err
 	}
-	if s.Precision != precisionName[S]() {
-		return fmt.Errorf("%w: snapshot precision %s, trainer %s", ErrSnapshotMismatch, s.Precision, precisionName[S]())
-	}
-	if len(s.RNG) != 1 {
-		return fmt.Errorf("%w: %d RNG states in a rank-local snapshot", ErrSnapshotMismatch, len(s.RNG))
-	}
+	return t.load(s)
+}
+
+// load sets this rank's weights, optimizer state, and RNG position from
+// a rank-local snapshot — also the step-boundary rollback.
+func (t *NetTrainer[S]) load(s *Snapshot) error {
 	if err := t.model.SetWeightsF64(s.Weights); err != nil {
 		return err
 	}
-	t.model.SetRNGState(s.RNG[0])
 	t.opt.SetState(s.Opt)
-	t.snap = s
-	t.startStep = s.Step
-	t.restored = true
-	return nil
-}
-
-// capture snapshots the rollback state at the current boundary.
-func (t *NetTrainer[S]) capture(step int) *netBoundary {
-	return &netBoundary{
-		step:    step,
-		weights: t.model.WeightsF64(),
-		opt:     t.opt.State(),
-		rng:     t.model.RNGState(),
-	}
-}
-
-// rollbackTo restores a boundary state exactly.
-func (t *NetTrainer[S]) rollbackTo(b *netBoundary) error {
-	if err := t.model.SetWeightsF64(b.weights); err != nil {
-		return err
-	}
-	t.opt.SetState(b.opt)
-	t.model.SetRNGState(b.rng)
+	t.model.SetRNGState(s.RNG[0])
 	return nil
 }
 
@@ -192,26 +123,12 @@ func (t *NetTrainer[S]) rollbackTo(b *netBoundary) error {
 // network form of Trainer.New's CopyWeightsFrom loop, moving the exact
 // S-precision bit patterns.
 func (t *NetTrainer[S]) syncWeights() error {
-	flatLen := 0
-	for _, prm := range t.model.Params() {
-		flatLen += prm.W.Len()
-	}
-	if cap(t.flat) < flatLen {
-		t.flat = make([]S, flatLen)
-	}
-	t.flat = t.flat[:flatLen]
-	off := 0
-	for _, prm := range t.model.Params() {
-		off += copy(t.flat[off:], prm.W.Data)
-	}
+	t.flat = pack(t.flat, t.model.Params(), weights)
 	if err := t.coll.Broadcast(t.flat); err != nil {
 		return err
 	}
 	if t.rank != 0 {
-		off = 0
-		for _, prm := range t.model.Params() {
-			off += copy(prm.W.Data, t.flat[off:off+prm.W.Len()])
-		}
+		unpack(t.flat, t.model.Params(), weights)
 	}
 	return nil
 }
@@ -236,66 +153,41 @@ func (t *NetTrainer[S]) reestablishRetry(step int) (int, error) {
 // ProcessKill fault aborts every rank with ErrKilled after the last
 // snapshot (each process resumes from its own rank-local snapshot file).
 func (t *NetTrainer[S]) Fit(samples []train.Sample) (*Result, error) {
-	globalBatch := t.cfg.Workers * t.cfg.BatchPerWorker
-	batcher, err := train.NewBatcher(samples, globalBatch, t.cfg.Seed)
+	totalSteps, err := t.begin(samples)
 	if err != nil {
 		return nil, err
 	}
-	t.batcher = batcher
-	t.nb = batcher.NumBatches()
-	totalSteps := t.cfg.Epochs * t.nb
-	if t.cfg.Chaos != nil || t.cfg.SnapshotPath != "" || t.restored {
-		t.dataFP = dataFingerprint(samples)
+	res := t.res
+	agreed, err := t.reestablishRetry(t.startStep)
+	if err != nil {
+		return res, err
 	}
-	if t.restored && t.snap != nil && t.snap.Data != "" && t.snap.Data != t.dataFP {
-		return nil, fmt.Errorf("%w: snapshot was taken over a different sample set", ErrSnapshotMismatch)
-	}
-
-	res := &Result{}
 	if !t.restored {
-		if _, err := t.reestablishRetry(t.startStep); err != nil {
-			return res, err
-		}
 		if err := t.syncWeights(); err != nil {
 			return res, err
 		}
-	} else {
+	} else if agreed != t.startStep {
 		// Resumed ranks restored identical bit-synchronized state; the
 		// rendezvous only has to agree they are at the same step.
-		agreed, err := t.reestablishRetry(t.startStep)
-		if err != nil {
-			return res, err
-		}
-		if agreed != t.startStep {
-			return res, fmt.Errorf("ddp: rank %d resumed at step %d but ring agreed %d (mismatched snapshots?)",
-				t.rank, t.startStep, agreed)
-		}
+		return res, fmt.Errorf("ddp: rank %d resumed at step %d but ring agreed %d (mismatched snapshots?)",
+			t.rank, t.startStep, agreed)
 	}
 
-	losses := make([]float64, totalSteps)
-	var prevB, curB *netBoundary
-	epochStart := time.Now()
-	samplesTrained := 0
+	// curB and prevB are the rollback states of the current and previous
+	// step boundaries (exact float64 weights, Adam state, RNG position).
+	var prevB, curB *Snapshot
 	g := t.startStep
 	for g < totalSteps {
-		epoch, bi := g/t.nb, g%t.nb
-		batch := t.batcher.Epoch(epoch)[bi]
+		batch := t.batch(g)
 		t.coll.StepStart(g) // boundary faults (partition, reconnect) fire here
 
 		// ---- step boundary: rollback state, snapshot, kill ----
-		if curB == nil || curB.step != g {
-			prevB = curB
-			curB = t.capture(g)
+		if curB == nil || curB.Step != g {
+			prevB, curB = curB, t.Snapshot(g)
 		}
-		wantSnaps := t.cfg.Chaos != nil || t.cfg.SnapshotPath != ""
-		if wantSnaps && (g == t.startStep || g%t.cfg.SnapshotEvery == 0) && t.lastSnapStep != g {
-			t.snap = t.Snapshot(g)
-			t.lastSnapStep = g
-			if t.cfg.SnapshotPath != "" {
-				torn := t.cfg.Chaos.TornWrite(g)
-				if err := saveSnapshotFile(t.cfg.SnapshotPath, t.snap, t.cfg.SnapshotKeep, torn); err != nil {
-					return res, err
-				}
+		if t.snapshotDue(g) {
+			if err := t.keepSnapshot(curB); err != nil {
+				return res, err
 			}
 		}
 		if t.cfg.Chaos.ProcessKill(g) {
@@ -307,13 +199,8 @@ func (t *NetTrainer[S]) Fit(samples []train.Sample) (*Result, error) {
 
 		loss, err := t.attemptStep(g, batch, res)
 		if err == nil {
-			losses[g] = loss
-			res.Steps++
-			samplesTrained += len(batch)
+			t.commit(g, loss, len(batch), t.cfg.Workers)
 			g++
-			if bi == t.nb-1 {
-				t.closeEpoch(res, losses, epoch, &epochStart)
-			}
 			continue
 		}
 		if errors.Is(err, errGuardRetry) {
@@ -321,7 +208,7 @@ func (t *NetTrainer[S]) Fit(samples []train.Sample) (*Result, error) {
 			// the identical reduced bytes and reached this verdict in
 			// lockstep; connections are intact, so roll back the boundary
 			// state locally and retry the step without a rendezvous.
-			if rerr := t.rollbackTo(curB); rerr != nil {
+			if rerr := t.load(curB); rerr != nil {
 				return res, rerr
 			}
 			continue
@@ -333,7 +220,7 @@ func (t *NetTrainer[S]) Fit(samples []train.Sample) (*Result, error) {
 		// Abort: undo any partial effect of the attempt (applied update,
 		// consumed dropout noise), re-rendezvous, and agree where to
 		// retry from.
-		if rerr := t.rollbackTo(curB); rerr != nil {
+		if rerr := t.load(curB); rerr != nil {
 			return res, rerr
 		}
 		agreed, eerr := t.reestablishRetry(g)
@@ -344,24 +231,20 @@ func (t *NetTrainer[S]) Fit(samples []train.Sample) (*Result, error) {
 			// A peer never committed a step this rank did; the commit
 			// barrier bounds the gap to one, so the previous boundary
 			// state is always sufficient to rewind.
-			if prevB == nil || prevB.step != agreed {
+			if prevB == nil || prevB.Step != agreed {
 				return res, fmt.Errorf("ddp: rank %d must rewind to step %d but holds no boundary state for it",
 					t.rank, agreed)
 			}
-			if rerr := t.rollbackTo(prevB); rerr != nil {
+			if rerr := t.load(prevB); rerr != nil {
 				return res, rerr
 			}
-			t.unwindBookkeeping(res, losses, agreed, g, &samplesTrained)
+			t.unwind(agreed, g)
 			curB, prevB = prevB, nil
 			g = agreed
 		}
 		res.Recoveries++
 	}
-	res.LostRanks = nil
-	if res.VirtualTotal > 0 {
-		res.Throughput = float64(samplesTrained) / res.VirtualTotal
-	}
-	return res, nil
+	return t.finish(nil), nil
 }
 
 // attemptStep runs one optimistic step: gradients on this rank's shard,
@@ -373,32 +256,11 @@ func (t *NetTrainer[S]) attemptStep(g int, batch []train.Sample, res *Result) (f
 		res.Stalls++
 		time.Sleep(d)
 	}
-	shards := shard(batch, t.cfg.Workers)
-	mine := shards[t.rank]
-	nn.ZeroGrads(t.model.Params())
-	var loss float64
-	if len(mine) > 0 {
-		x, labels, err := train.ToTensor[S](mine)
-		if err != nil {
-			return 0, err
-		}
-		if loss, err = t.model.LossAndGrad(x, labels); err != nil {
-			return 0, err
-		}
+	loss, _, err := gradStep(t.model, shard(batch, t.cfg.Workers)[t.rank])
+	if err != nil {
+		return 0, err
 	}
-
-	flatLen := 0
-	for _, prm := range t.model.Params() {
-		flatLen += prm.Grad.Len()
-	}
-	if cap(t.flat) < flatLen {
-		t.flat = make([]S, flatLen)
-	}
-	t.flat = t.flat[:flatLen]
-	off := 0
-	for _, prm := range t.model.Params() {
-		off += copy(t.flat[off:], prm.Grad.Data)
-	}
+	t.flat = pack(t.flat, t.model.Params(), grads)
 	if t.cfg.Chaos.NaNStep(t.rank, g) {
 		// Poison one pre-reduce element: the ring mean propagates the NaN
 		// to every rank, so the guard verdict below is unanimous.
@@ -430,10 +292,7 @@ func (t *NetTrainer[S]) attemptStep(g int, batch []train.Sample, res *Result) (f
 			return loss, nil
 		}
 	}
-	off = 0
-	for _, prm := range t.model.Params() {
-		off += copy(prm.Grad.Data, t.flat[off:off+prm.Grad.Len()])
-	}
+	unpack(t.flat, t.model.Params(), grads)
 	t.opt.Step(t.model.Params())
 	if err := t.coll.Commit(g); err != nil {
 		return 0, err
@@ -445,46 +304,3 @@ func (t *NetTrainer[S]) attemptStep(g int, batch []train.Sample, res *Result) (f
 // step after a first numeric-anomaly verdict. Distinct from *RankError:
 // the ring is healthy, so no re-rendezvous is needed.
 var errGuardRetry = errors.New("ddp: numeric anomaly, retrying step")
-
-// closeEpoch emits the epoch stat from the committed per-step losses.
-func (t *NetTrainer[S]) closeEpoch(res *Result, losses []float64, epoch int, epochStart *time.Time) {
-	first := epoch * t.nb
-	if t.startStep > first {
-		first = t.startStep // resumed mid-epoch: only the executed tail
-	}
-	sum, n := 0.0, 0
-	for h := first; h < (epoch+1)*t.nb; h++ {
-		sum += losses[h]
-		n++
-	}
-	stat := EpochStat{RealSeconds: time.Since(*epochStart).Seconds()}
-	if n > 0 {
-		stat.Loss = sum / float64(n)
-	}
-	if t.cfg.Timing.Compute > 0 {
-		stat.VirtualSeconds = t.cfg.Timing.EpochTime(t.world) * float64(n) / float64(t.nb)
-	}
-	res.Epochs = append(res.Epochs, stat)
-	res.RealTotal += stat.RealSeconds
-	res.VirtualTotal += stat.VirtualSeconds
-	if t.cfg.Progress != nil {
-		t.cfg.Progress(epoch, stat.Loss)
-	}
-	*epochStart = time.Now()
-}
-
-// unwindBookkeeping reverses the accounting of committed steps
-// [agreed, cursor) that a ring-wide rollback is about to re-execute
-// (bit-identically, so the redo restores every number).
-func (t *NetTrainer[S]) unwindBookkeeping(res *Result, losses []float64, agreed, cursor int, samplesTrained *int) {
-	for h := cursor - 1; h >= agreed; h-- {
-		res.Steps--
-		*samplesTrained -= len(t.batcher.Epoch(h / t.nb)[h%t.nb])
-		if h%t.nb == t.nb-1 && len(res.Epochs) > 0 {
-			last := res.Epochs[len(res.Epochs)-1]
-			res.Epochs = res.Epochs[:len(res.Epochs)-1]
-			res.RealTotal -= last.RealSeconds
-			res.VirtualTotal -= last.VirtualSeconds
-		}
-	}
-}

@@ -1,17 +1,12 @@
 package ddp
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
+	"seaice/internal/durable"
 	"seaice/internal/nn"
 	"seaice/internal/noise"
 )
@@ -50,14 +45,13 @@ type Snapshot struct {
 }
 
 // snapMagic heads on-disk snapshot files; the trailing byte is the
-// format version. Version 4 is the checksummed layout:
-//
-//	v4 := [magic:16][bodyLen:8 BE][gob body][crc32c(body):4 BE]
-//
-// The CRC32C (Castagnoli) trailer covers the gob body, so a flipped bit
-// anywhere in the state fails verification at load, and the explicit
-// length makes a torn (truncated) write detectable before gob ever runs.
+// format version. Version 4 is the checksummed durable record layout
+// (see internal/durable).
 const snapMagic = "SEAICE-DDP-SNAP\x04"
+
+// snapFormat is the snapshot record: a missing header is a malformed
+// stream, any later failure a corrupt snapshot.
+var snapFormat = durable.Format{Magic: snapMagic, BadHeader: ErrBadSnapshot, Corrupt: ErrCorruptSnapshot}
 
 // ErrSnapshotMismatch reports a snapshot whose key or precision does not
 // match the trainer it is being restored into.
@@ -80,157 +74,30 @@ const DefaultSnapshotKeep = 2
 
 // Write encodes the snapshot in the checksummed v4 layout.
 func (s *Snapshot) Write(w io.Writer) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(s); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	if _, err := io.WriteString(w, snapMagic); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(body.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(body.Bytes(), snapTable))
-	if _, err := w.Write(crc[:]); err != nil {
+	if err := snapFormat.Encode(w, s); err != nil {
 		return fmt.Errorf("ddp: save snapshot: %w", err)
 	}
 	return nil
 }
 
-// snapTable is the CRC32C polynomial table for checkpoint checksums.
-var snapTable = crc32.MakeTable(crc32.Castagnoli)
-
-// rotationEntry names the i-th snapshot rotation file: the live path for
-// i = 0, "path.1", "path.2", … for older generations.
-func rotationEntry(path string, i int) string {
-	if i == 0 {
-		return path
-	}
-	return fmt.Sprintf("%s.%d", path, i)
-}
-
-// SaveSnapshotFile durably writes the snapshot and rotates the previous
-// generations, keeping the newest `keep` entries (path, path.1, …;
-// keep <= 1 keeps only path). The write is atomic (temp file + rename)
-// and fsynced — both the file before rename and the directory after —
-// so neither a crash mid-write nor a power cut after rename can leave
-// the rotation without a durable good entry.
-func SaveSnapshotFile(path string, s *Snapshot, keep int) error {
-	return saveSnapshotFile(path, s, keep, false)
-}
-
-// saveSnapshotFile is SaveSnapshotFile plus the torn-write fault hook:
-// torn truncates the file mid-body after rotation, simulating a crash
-// between write and fsync — the corruption LoadSnapshotFallback must
-// catch and skip.
+// saveSnapshotFile durably writes the snapshot and rotates the previous
+// generations, keeping the newest `keep` entries (path, path.1, …). torn
+// is the torn-write fault hook; see durable.WriteFile.
 func saveSnapshotFile(path string, s *Snapshot, keep int, torn bool) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	write := func(w io.Writer) error { return snapFormat.Encode(w, s) }
+	if err := durable.WriteFile(path, keep, torn, write); err != nil {
 		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	// Reap orphaned temp files from earlier interrupted writes of this
-	// same snapshot path (the writer is serial per path, so anything
-	// matching the pattern is stale).
-	pattern := filepath.Join(dir, "."+filepath.Base(path)+"-*.tmp")
-	if stale, err := filepath.Glob(pattern); err == nil {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
-	if err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := s.Write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if torn {
-		if st, err := tmp.Stat(); err == nil {
-			tmp.Truncate(st.Size() / 2)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	// Rotate the existing generations up one slot before the new file
-	// takes the live name.
-	if keep < 1 {
-		keep = 1
-	}
-	os.Remove(rotationEntry(path, keep-1))
-	for i := keep - 1; i >= 2; i-- {
-		os.Rename(rotationEntry(path, i-1), rotationEntry(path, i))
-	}
-	if keep > 1 {
-		os.Rename(path, rotationEntry(path, 1))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("ddp: save snapshot: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("ddp: sync snapshot dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("ddp: sync snapshot dir: %w", err)
 	}
 	return nil
 }
 
-// ReadSnapshot decodes a snapshot stream, verifying the magic header,
+// ReadSnapshot decodes one snapshot record, verifying the magic header,
 // the explicit body length, and the CRC32C trailer before trusting a
 // single decoded byte.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(snapMagic))
-	if err != nil || string(head) != snapMagic {
-		return nil, fmt.Errorf("%w: missing or truncated header", ErrBadSnapshot)
-	}
-	if _, err := br.Discard(len(snapMagic)); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated length header", ErrCorruptSnapshot)
-	}
-	n := binary.BigEndian.Uint64(hdr[:])
-	const maxSnapshot = 1 << 32 // corrupt lengths must not balloon memory
-	if n == 0 || n > maxSnapshot {
-		return nil, fmt.Errorf("%w: implausible body length %d", ErrCorruptSnapshot, n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("%w: truncated body (torn write?)", ErrCorruptSnapshot)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(br, crc[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated CRC trailer", ErrCorruptSnapshot)
-	}
-	want := binary.BigEndian.Uint32(crc[:])
-	if got := crc32.Checksum(body, snapTable); got != want {
-		return nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCorruptSnapshot, got, want)
-	}
 	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
+	if err := snapFormat.Decode(r, &s); err != nil {
+		return nil, err
 	}
 	if s.Step < 0 || len(s.RNG) == 0 || s.Weights == nil {
 		return nil, fmt.Errorf("%w: inconsistent contents", ErrCorruptSnapshot)
@@ -238,8 +105,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// LoadSnapshotFile reads a snapshot file written by SaveSnapshotFile,
-// strictly: a corrupt file is an error, with no rotation fallback.
+// LoadSnapshotFile reads one snapshot file strictly: a corrupt file is
+// an error, with no rotation fallback.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -261,7 +128,7 @@ func LoadSnapshotFallback(path string, keep int) (*Snapshot, string, error) {
 	}
 	var errs []error
 	for i := 0; i < keep; i++ {
-		entry := rotationEntry(path, i)
+		entry := durable.Entry(path, i)
 		s, err := LoadSnapshotFile(entry)
 		if err == nil {
 			return s, entry, nil

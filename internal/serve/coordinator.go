@@ -122,7 +122,7 @@ type Coordinator struct {
 	hedgeWins int
 	stale     int
 	partials  int
-	stripLat  []time.Duration // sliding window of strip round-trip latencies
+	stripLat  latencyWindow // strip round-trip latencies
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -182,6 +182,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		breakers:    make([]*Breaker, len(cfg.Nodes)),
 		retry:       NewTokenBucket(cfg.RetryBurst, cfg.RetryPerSec, nil),
 		fallback:    NewCache(max(cfg.FallbackCache, 0)),
+		stripLat:    latencyWindow{buf: make([]time.Duration, stripLatWindow)},
 		stop:        make(chan struct{}),
 	}
 	for i := range c.breakers {
@@ -688,13 +689,10 @@ func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.stripLat) < hedgeMinSamples {
+	if c.stripLat.n < hedgeMinSamples {
 		return 0, false
 	}
-	window := make([]time.Duration, len(c.stripLat))
-	copy(window, c.stripLat)
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	d := 2 * window[percentileIndex(len(window), 0.99)]
+	d := 2 * c.stripLat.percentiles(0.99)[0]
 	if d < hedgeFloor {
 		d = hedgeFloor
 	}
@@ -706,10 +704,7 @@ func (c *Coordinator) hedgeDelay() (time.Duration, bool) {
 func (c *Coordinator) observeStripLatency(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stripLat = append(c.stripLat, d)
-	if len(c.stripLat) > stripLatWindow {
-		c.stripLat = c.stripLat[len(c.stripLat)-stripLatWindow:]
-	}
+	c.stripLat.add(d)
 }
 
 // classifyStrip runs one strip-sized HTTP round trip against a node,

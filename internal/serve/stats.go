@@ -1,14 +1,41 @@
 package serve
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
 
-// latencyWindow is how many recent request latencies the percentile
+// requestWindow is how many recent request latencies the percentile
 // estimates are computed over.
-const latencyWindow = 4096
+const requestWindow = 4096
+
+// latencyWindow is a sliding window of the most recent latencies with
+// nearest-rank percentiles. Owners guard it with their own mutex.
+type latencyWindow struct {
+	buf  []time.Duration // ring buffer; the first n entries are filled
+	next int
+	n    int
+}
+
+// add slides d into the window, evicting the oldest entry when full.
+func (w *latencyWindow) add(d time.Duration) {
+	w.buf[w.next] = d
+	w.next = (w.next + 1) % len(w.buf)
+	w.n = min(w.n+1, len(w.buf))
+}
+
+// percentiles returns the nearest-rank percentile of the window for each
+// p; the window must not be empty.
+func (w *latencyWindow) percentiles(ps ...float64) []time.Duration {
+	sorted := slices.Clone(w.buf[:w.n])
+	slices.Sort(sorted)
+	out := make([]time.Duration, len(ps))
+	for i, p := range ps {
+		out[i] = sorted[percentileIndex(w.n, p)]
+	}
+	return out
+}
 
 // Stats aggregates service-level metrics: request/tile/batch counters
 // and a sliding window of request latencies for percentile estimates.
@@ -26,14 +53,12 @@ type Stats struct {
 	expired  int64 // requests dropped in queue after their deadline passed
 	infeasib int64 // requests refused by predictive deadline admission
 
-	lat    []time.Duration // ring buffer of recent request latencies
-	latIdx int
-	latN   int
+	lat latencyWindow // successful requests only
 }
 
 // NewStats returns a zeroed recorder with the clock started.
 func NewStats() *Stats {
-	return &Stats{start: time.Now(), lat: make([]time.Duration, latencyWindow)}
+	return &Stats{start: time.Now(), lat: latencyWindow{buf: make([]time.Duration, requestWindow)}}
 }
 
 // RecordRequest accounts one classification request covering n tiles.
@@ -49,11 +74,7 @@ func (s *Stats) RecordRequest(d time.Duration, n int, failed bool) {
 		s.errors++
 		return
 	}
-	s.lat[s.latIdx] = d
-	s.latIdx = (s.latIdx + 1) % len(s.lat)
-	if s.latN < len(s.lat) {
-		s.latN++
-	}
+	s.lat.add(d)
 }
 
 // RecordBatch accounts one executed forward-pass batch of n tiles.
@@ -166,12 +187,10 @@ func (s *Stats) Snapshot(queueDepth, liveWorkers int, cacheHits, cacheMisses int
 	if total := cacheHits + cacheMisses; total > 0 {
 		snap.CacheHitRate = float64(cacheHits) / float64(total)
 	}
-	if s.latN > 0 {
-		window := make([]time.Duration, s.latN)
-		copy(window, s.lat[:s.latN])
-		sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-		snap.P50Millis = float64(window[percentileIndex(s.latN, 0.50)]) / float64(time.Millisecond)
-		snap.P99Millis = float64(window[percentileIndex(s.latN, 0.99)]) / float64(time.Millisecond)
+	if s.lat.n > 0 {
+		p := s.lat.percentiles(0.50, 0.99)
+		snap.P50Millis = float64(p[0]) / float64(time.Millisecond)
+		snap.P99Millis = float64(p[1]) / float64(time.Millisecond)
 	}
 	return snap
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 
+	"seaice/internal/durable"
 	"seaice/internal/tensor"
 )
 
@@ -67,17 +68,10 @@ func (m *Model[S]) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes a checkpoint file.
+// SaveFile writes a checkpoint file crash-safely (durable.WriteFile): a
+// failed or interrupted save leaves the previous file at path intact.
 func (m *Model[S]) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("unet: %w", err)
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return durable.WriteFile(path, 1, false, m.Save)
 }
 
 // Load reconstructs a model from a checkpoint stream in the requested

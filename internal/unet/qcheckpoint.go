@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"seaice/internal/durable"
 	"seaice/internal/tensor"
 )
 
@@ -40,17 +41,11 @@ func (q *QuantModel) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes a quantized checkpoint file.
+// SaveFile writes a quantized checkpoint file crash-safely
+// (durable.WriteFile): a failed or interrupted save leaves the previous
+// file at path intact.
 func (q *QuantModel) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("unet: %w", err)
-	}
-	defer f.Close()
-	if err := q.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return durable.WriteFile(path, 1, false, q.Save)
 }
 
 // LoadQuantized reconstructs an int8 model from a version-3 checkpoint
