@@ -28,11 +28,13 @@
 // shadows falling only on water — are exactly the failure modes the paper
 // reports surviving its filter (Fig 13's remaining off-diagonal mass).
 //
-// Filter is a deterministic pure function of (image, config) with no
-// shared state, so the pipeline's stage workers run it concurrently on
-// different scenes with bit-identical results; it operates at full
-// scene scale because its neighborhood statistics need more context
-// than a single tile.
+// Filter is a deterministic pure function of (image, config). Its
+// Gaussian smoothing, erosion/dilation and median stripe rows on
+// pool.Shared(), and each output value is computed by one stripe in a
+// fixed order, so the result is byte-identical at any worker count and
+// when the pipeline's stage workers run several scenes at once. It
+// operates at full scene scale because its neighborhood statistics need
+// more context than a single tile.
 package cloudfilter
 
 import (
@@ -400,50 +402,10 @@ func dilateFloat(src *raster.Float, radius int) *raster.Float {
 	return out
 }
 
-// smoothFloat applies a separable Gaussian to a float raster. The kernel
-// radius follows the 3σ rule.
+// smoothFloat applies the separable Gaussian of imgproc.GaussianFloat to
+// a float raster. The kernel radius follows the 3σ rule.
 func smoothFloat(src *raster.Float, sigma float64) *raster.Float {
-	if sigma <= 0 {
-		return src.Clone()
-	}
-	k := imgproc.GaussianKernel(sigma)
-	radius := len(k) / 2
-	w, h := src.W, src.H
-	tmp := raster.NewFloat(w, h)
-	dst := raster.NewFloat(w, h)
-
-	for y := 0; y < h; y++ {
-		row := src.Pix[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			sum := 0.0
-			for i, kv := range k {
-				xx := x + i - radius
-				if xx < 0 {
-					xx = 0
-				} else if xx >= w {
-					xx = w - 1
-				}
-				sum += kv * row[xx]
-			}
-			tmp.Pix[y*w+x] = sum
-		}
-	}
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			sum := 0.0
-			for i, kv := range k {
-				yy := y + i - radius
-				if yy < 0 {
-					yy = 0
-				} else if yy >= h {
-					yy = h - 1
-				}
-				sum += kv * tmp.Pix[yy*w+x]
-			}
-			dst.Pix[y*w+x] = sum
-		}
-	}
-	return dst
+	return imgproc.GaussianFloat(src, sigma)
 }
 
 func clamp8(v float64) uint8 {

@@ -2,21 +2,25 @@
 // a from-scratch Go replacement for the OpenCV operations the paper's
 // thin-cloud/shadow filter and color segmentation depend on: box, Gaussian
 // and median smoothing, absolute difference, bitwise mask algebra, min-max
-// normalization, binary/truncated/Otsu thresholding, and binary
+// normalization, binary/truncated/Otsu thresholding, and grayscale
 // morphology. All operators use OpenCV conventions (8-bit data, masks with
 // 0/255 values, border replication for neighborhoods).
 //
 // Every operator is a deterministic pure function of its input rasters
-// and parameters (no RNG, no global state), so compositions like the
-// cloud filter are bit-reproducible and safe to run concurrently on
-// different images — the property the pipeline's parallel label stage
-// relies on.
+// and parameters (no RNG), so compositions like the cloud filter are
+// bit-reproducible and safe to run concurrently on different images —
+// the property the pipeline's parallel label stage relies on. The
+// neighborhood operators that dominate the filter's cost (Gaussian,
+// median, erosion/dilation) stripe rows on pool.Shared(); each output
+// value is computed by one stripe in a fixed order, so results are
+// byte-identical at any worker count.
 package imgproc
 
 import (
 	"fmt"
 	"math"
 
+	"seaice/internal/pool"
 	"seaice/internal/raster"
 )
 
@@ -100,87 +104,163 @@ func GaussianKernel(sigma float64) []float64 {
 	return k
 }
 
-// GaussianBlur smooths with a separable Gaussian of the given sigma.
+// GaussianBlur smooths with a separable Gaussian of the given sigma. It
+// is GaussianFloat on the exact float64 image of src, rounded back to
+// 8 bits.
 func GaussianBlur(src *raster.Gray, sigma float64) *raster.Gray {
-	k := GaussianKernel(sigma)
-	radius := len(k) / 2
-	if radius == 0 {
+	if sigma <= 0 {
 		return src.Clone()
 	}
-	w, h := src.W, src.H
-	tmp := make([]float64, w*h)
-	dst := raster.NewGray(w, h)
-
-	for y := 0; y < h; y++ {
-		row := src.Pix[y*w : (y+1)*w]
-		for x := 0; x < w; x++ {
-			sum := 0.0
-			for i, kv := range k {
-				sum += kv * float64(row[clampIdx(x+i-radius, w)])
-			}
-			tmp[y*w+x] = sum
-		}
-	}
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			sum := 0.0
-			for i, kv := range k {
-				sum += kv * tmp[clampIdx(y+i-radius, h)*w+x]
-			}
-			dst.Pix[y*w+x] = clampU8(sum)
-		}
+	sm := GaussianFloat(raster.FromGray(src), sigma)
+	dst := raster.NewGray(src.W, src.H)
+	for i, v := range sm.Pix {
+		dst.Pix[i] = clampU8(v)
 	}
 	return dst
 }
 
+// stripeRows is the fewest rows a worker takes in a striped pass.
+const stripeRows = 16
+
+// GaussianFloat smooths a float raster with a separable Gaussian of the
+// given sigma (3σ radius, border replication). Every output starts at 0
+// and adds kv·src over the taps in kernel order, rows first, then
+// columns; each pixel's sum is owned by one stripe of rows on
+// pool.Shared(), so the result is bit-identical at any worker count.
+func GaussianFloat(src *raster.Float, sigma float64) *raster.Float {
+	return gaussianFloat(pool.Shared(), src, sigma)
+}
+
+func gaussianFloat(p *pool.Pool, src *raster.Float, sigma float64) *raster.Float {
+	if sigma <= 0 {
+		return src.Clone()
+	}
+	k := GaussianKernel(sigma)
+	r := len(k) / 2
+	w, h := src.W, src.H
+	tmp := raster.NewFloat(w, h)
+	dst := raster.NewFloat(w, h)
+
+	// Horizontal pass: each row is copied into a buffer padded with its
+	// edge values, so no tap needs a clamp.
+	p.MustMapRanges(h, stripeRows, func(lo, hi int) {
+		pad := make([]float64, w+2*r)
+		for y := lo; y < hi; y++ {
+			row := src.Pix[y*w : (y+1)*w]
+			for i := 0; i < r; i++ {
+				pad[i] = row[0]
+				pad[r+w+i] = row[w-1]
+			}
+			copy(pad[r:r+w], row)
+			accumulateTaps(tmp.Pix[y*w:(y+1)*w], k, func(i int) []float64 { return pad[i : i+w] })
+		}
+	})
+	// Vertical pass, row-major: output row y sums whole source rows.
+	p.MustMapRanges(h, stripeRows, func(lo, hi int) {
+		for y := lo; y < hi; y++ {
+			accumulateTaps(dst.Pix[y*w:(y+1)*w], k, func(i int) []float64 {
+				yy := clampIdx(y+i-r, h)
+				return tmp.Pix[yy*w : (yy+1)*w]
+			})
+		}
+	})
+	return dst
+}
+
+// accumulateTaps adds k[i]·in(i)[x] into out[x] for every tap i in
+// order. Taps are taken eight at a time with the running sum held in a
+// register; the additions still happen one tap after another, so the
+// bits are those of the one-tap loop.
+func accumulateTaps(out, k []float64, in func(i int) []float64) {
+	n := len(out)
+	i := 0
+	for ; i+8 <= len(k); i += 8 {
+		k0, k1, k2, k3, k4, k5, k6, k7 := k[i], k[i+1], k[i+2], k[i+3], k[i+4], k[i+5], k[i+6], k[i+7]
+		s0, s1, s2, s3 := in(i)[:n], in(i + 1)[:n], in(i + 2)[:n], in(i + 3)[:n]
+		s4, s5, s6, s7 := in(i + 4)[:n], in(i + 5)[:n], in(i + 6)[:n], in(i + 7)[:n]
+		for x := range out {
+			s := out[x]
+			s += k0 * s0[x]
+			s += k1 * s1[x]
+			s += k2 * s2[x]
+			s += k3 * s3[x]
+			s += k4 * s4[x]
+			s += k5 * s5[x]
+			s += k6 * s6[x]
+			s += k7 * s7[x]
+			out[x] = s
+		}
+	}
+	for ; i < len(k); i++ {
+		kv, src := k[i], in(i)[:n]
+		for x := range out {
+			out[x] += kv * src[x]
+		}
+	}
+}
+
 // MedianFilter applies a (2r+1)×(2r+1) median using a 256-bin histogram
-// slide per row, the standard constant-time-per-update approach for 8-bit
-// data.
+// slid along each row, the standard constant-time-per-update approach for
+// 8-bit data. Each step resumes the bin scan from the previous median
+// (Huang's algorithm), and rows are striped on pool.Shared(); the median
+// is exact, so the result does not depend on the worker count.
 func MedianFilter(src *raster.Gray, radius int) *raster.Gray {
 	if radius <= 0 {
 		return src.Clone()
 	}
+	return medianFilter(pool.Shared(), src, radius)
+}
+
+func medianFilter(p *pool.Pool, src *raster.Gray, radius int) *raster.Gray {
 	w, h := src.W, src.H
 	dst := raster.NewGray(w, h)
 	win := (2*radius + 1) * (2*radius + 1)
 	half := win / 2
 
-	var hist [256]int
-	for y := 0; y < h; y++ {
-		// build histogram for x=0 window
-		for i := range hist {
-			hist[i] = 0
-		}
-		for dy := -radius; dy <= radius; dy++ {
-			sy := clampIdx(y+dy, h)
-			for dx := -radius; dx <= radius; dx++ {
-				hist[src.Pix[sy*w+clampIdx(dx, w)]]++
-			}
-		}
-		for x := 0; x < w; x++ {
-			// find median
-			cnt := 0
-			med := 0
-			for v := 0; v < 256; v++ {
-				cnt += hist[v]
-				if cnt > half {
-					med = v
-					break
+	p.MustMapRanges(h, stripeRows, func(lo, hi int) {
+		var hist [256]int
+		for y := lo; y < hi; y++ {
+			hist = [256]int{}
+			for dy := -radius; dy <= radius; dy++ {
+				sy := clampIdx(y+dy, h)
+				for dx := -radius; dx <= radius; dx++ {
+					hist[src.Pix[sy*w+clampIdx(dx, w)]]++
 				}
 			}
-			dst.Pix[y*w+x] = uint8(med)
-			// slide window right
-			if x+1 < w {
+			// med is the smallest value whose cumulative count exceeds
+			// half; below counts the window's values under med.
+			med, below := 0, 0
+			for x := 0; x < w; x++ {
+				for below > half {
+					med--
+					below -= hist[med]
+				}
+				for below+hist[med] <= half {
+					below += hist[med]
+					med++
+				}
+				dst.Pix[y*w+x] = uint8(med)
+				if x+1 == w {
+					break
+				}
+				// slide window right
 				outX := clampIdx(x-radius, w)
 				inX := clampIdx(x+radius+1, w)
 				for dy := -radius; dy <= radius; dy++ {
 					sy := clampIdx(y+dy, h)
-					hist[src.Pix[sy*w+outX]]--
-					hist[src.Pix[sy*w+inX]]++
+					vo, vi := src.Pix[sy*w+outX], src.Pix[sy*w+inX]
+					hist[vo]--
+					hist[vi]++
+					if int(vo) < med {
+						below--
+					}
+					if int(vi) < med {
+						below++
+					}
 				}
 			}
 		}
-	}
+	})
 	return dst
 }
 

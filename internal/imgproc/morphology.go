@@ -1,26 +1,29 @@
 package imgproc
 
-import "seaice/internal/raster"
+import (
+	"seaice/internal/pool"
+	"seaice/internal/raster"
+)
 
-// Dilate grows foreground (nonzero) regions of a binary mask by a square
-// structuring element of the given radius. Implemented as separable
-// running-max passes, O(1) per pixel amortized via the two-stack max
-// queue technique reduced to 8-bit scans.
+// Dilate is grayscale dilation by a square structuring element of the
+// given radius: each output pixel is the maximum of src over its
+// (2r+1)² window, clipped at the borders (on a 0/255 mask this grows the
+// nonzero regions). It runs as two separable monotone-deque running-max
+// passes, O(1) amortized per pixel, striped on pool.Shared(); max is
+// exact, so the result does not depend on the worker count.
 func Dilate(src *raster.Gray, radius int) *raster.Gray {
 	if radius <= 0 {
 		return src.Clone()
 	}
-	tmp := slideExtreme(src, radius, true, true)
-	return slideExtreme(tmp, radius, false, true)
+	return extreme2D(pool.Shared(), src, radius, true)
 }
 
-// Erode shrinks foreground regions by a square structuring element.
+// Erode is grayscale erosion, the running minimum counterpart of Dilate.
 func Erode(src *raster.Gray, radius int) *raster.Gray {
 	if radius <= 0 {
 		return src.Clone()
 	}
-	tmp := slideExtreme(src, radius, true, false)
-	return slideExtreme(tmp, radius, false, false)
+	return extreme2D(pool.Shared(), src, radius, false)
 }
 
 // Open erodes then dilates, removing specks smaller than the element.
@@ -33,52 +36,63 @@ func Close(src *raster.Gray, radius int) *raster.Gray {
 	return Erode(Dilate(src, radius), radius)
 }
 
-// slideExtreme computes the 1-D sliding max (or min) over rows or columns
-// with window 2r+1 using the monotone deque algorithm.
-func slideExtreme(src *raster.Gray, radius int, horizontal, max bool) *raster.Gray {
+// extreme2D computes the (2r+1)² running max (or min) as a row pass that
+// writes its result transposed, then the same row pass over the
+// transposed rows (the source columns), transposed back. Both passes
+// walk memory row by row.
+func extreme2D(p *pool.Pool, src *raster.Gray, radius int, max bool) *raster.Gray {
 	w, h := src.W, src.H
+	cols := make([]uint8, w*h) // column x of the row pass is cols[x*h:(x+1)*h]
+	p.MustMapRanges(h, stripeRows, func(lo, hi int) {
+		out, dq := make([]uint8, w), make([]int32, w)
+		for y := lo; y < hi; y++ {
+			runExtreme(src.Pix[y*w:(y+1)*w], out, dq, radius, max)
+			for x, v := range out {
+				cols[x*h+y] = v
+			}
+		}
+	})
 	dst := raster.NewGray(w, h)
-
-	better := func(a, b uint8) bool {
-		if max {
-			return a >= b
-		}
-		return a <= b
-	}
-
-	process := func(get func(i int) uint8, set func(i int, v uint8), n int) {
-		// deque of indices with monotone values
-		deque := make([]int, 0, n)
-		for i := 0; i < n+radius; i++ {
-			if i < n {
-				v := get(i)
-				for len(deque) > 0 && better(v, get(deque[len(deque)-1])) {
-					deque = deque[:len(deque)-1]
-				}
-				deque = append(deque, i)
-			}
-			out := i - radius
-			if out >= 0 {
-				for len(deque) > 0 && deque[0] < out-radius {
-					deque = deque[1:]
-				}
-				set(out, get(deque[0]))
+	p.MustMapRanges(w, stripeRows, func(lo, hi int) {
+		out, dq := make([]uint8, h), make([]int32, h)
+		for x := lo; x < hi; x++ {
+			runExtreme(cols[x*h:(x+1)*h], out, dq, radius, max)
+			for y, v := range out {
+				dst.Pix[y*w+x] = v
 			}
 		}
-	}
-
-	if horizontal {
-		for y := 0; y < h; y++ {
-			row := src.Pix[y*w : (y+1)*w]
-			out := dst.Pix[y*w : (y+1)*w]
-			process(func(i int) uint8 { return row[i] }, func(i int, v uint8) { out[i] = v }, w)
-		}
-	} else {
-		for x := 0; x < w; x++ {
-			process(func(i int) uint8 { return src.Pix[i*w+x] }, func(i int, v uint8) { dst.Pix[i*w+x] = v }, h)
-		}
-	}
+	})
 	return dst
+}
+
+// runExtreme sets out[i] to the max (or min) of in[i-r..i+r] clipped to
+// the slice. dq, as long as in, holds a deque of indices whose values
+// are monotone, so each element is pushed and popped at most once.
+func runExtreme(in, out []uint8, dq []int32, r int, max bool) {
+	n := len(in)
+	head, tail := 0, 0
+	for i := 0; i < n+r; i++ {
+		if i < n {
+			v := in[i]
+			if max {
+				for tail > head && v >= in[dq[tail-1]] {
+					tail--
+				}
+			} else {
+				for tail > head && v <= in[dq[tail-1]] {
+					tail--
+				}
+			}
+			dq[tail] = int32(i)
+			tail++
+		}
+		if o := i - r; o >= 0 {
+			for int(dq[head]) < o-r {
+				head++
+			}
+			out[o] = in[dq[head]]
+		}
+	}
 }
 
 // ConnectedComponents labels 4-connected foreground regions of a binary

@@ -301,6 +301,10 @@ func (c *Coordinator) probe(node int) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
+// maxRelayBody caps how much of a worker's non-200 body the coordinator
+// reads and relays to the client.
+const maxRelayBody = 64 << 10
+
 // workerReject is a worker response the coordinator propagates to the
 // client unchanged (backpressure and input errors), as opposed to a node
 // failure it reroutes around.
@@ -737,7 +741,14 @@ func (c *Coordinator) classifyStrip(ctx context.Context, node int, model string,
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
+	// A strip answer is exactly ts²·k label bytes; one byte more is
+	// enough to fail the length check below without buffering an
+	// oversized body. Non-200 bodies are capped before being relayed.
+	limit := int64(ts*ts*len(idxs)) + 1
+	if resp.StatusCode != http.StatusOK {
+		limit = maxRelayBody
+	}
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
 		return nil, nil, err
 	}
